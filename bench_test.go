@@ -7,6 +7,7 @@
 package dynppr_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -383,6 +384,66 @@ func BenchmarkBatchApplyEngines10M(b *testing.B) {
 		opts.Epsilon = 1e-4
 		benchmarkTrackerBatchSplit(b, opts, vertices, edges, edges-batch)
 	})
+}
+
+// serviceApplyEdges is the R-MAT edge list shared by the BenchmarkServiceApply
+// sub-benchmarks, generated once per process.
+var serviceApplyEdges struct {
+	once  sync.Once
+	edges []dynppr.Edge
+	err   error
+}
+
+// BenchmarkServiceApply measures the Service write path on the shape of the
+// serving benchmark's ingest workload: a 100k-vertex / 1M-edge R-MAT graph
+// whose edges arrive in a seeded order, the first half as the initial
+// window, the top out-degree vertices as tracked sources, default
+// ServiceOptions, and Slide(100) batches (100 arrivals plus 100 expiries).
+// The service is in-memory, so the journal is out of the picture and each
+// op is one pipelined batch: graph apply, invariant restore, the push of
+// every source and snapshot publication. Every run measures the same batch
+// prefix of the window, so -benchtime Nx streams are comparable run to run.
+func BenchmarkServiceApply(b *testing.B) {
+	const (
+		vertices = 100_000
+		edges    = 1_000_000
+		slide    = 100
+	)
+	serviceApplyEdges.once.Do(func() {
+		serviceApplyEdges.edges, serviceApplyEdges.err = dynppr.GenerateEdges(dynppr.SyntheticConfig{
+			Name: "service-apply", Model: dynppr.ModelRMAT, Vertices: vertices, Edges: edges, Seed: 1,
+		})
+	})
+	if serviceApplyEdges.err != nil {
+		b.Fatal(serviceApplyEdges.err)
+	}
+	for _, k := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
+			window, initial := dynppr.NewSlidingWindow(dynppr.NewStream(serviceApplyEdges.edges, 1), 0.5)
+			g := dynppr.GraphFromEdges(initial)
+			svc, err := dynppr.NewService(g, g.TopDegreeVertices(k), dynppr.DefaultServiceOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			batches := make([]dynppr.Batch, b.N)
+			for i := range batches {
+				batches[i] = window.Slide(slide)
+			}
+			var pushes int64
+			b.ResetTimer()
+			for _, batch := range batches {
+				res, err := svc.ApplyBatch(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pushes += res.Pushes
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/batch")
+			b.ReportMetric(float64(pushes)/float64(b.N), "pushes/batch")
+		})
+	}
 }
 
 // topKBench holds the lazily built 200k-vertex serving pair shared by the

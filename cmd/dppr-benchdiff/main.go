@@ -23,6 +23,17 @@
 //	  -fast 'BenchmarkBatchApplyEngines/engine=deterministic-4' \
 //	  -min 1.5
 //
+// A/B mode runs two compiled test binaries (`go test -c`) of the same
+// package on the same machine — typically the merge-base and the change —
+// for five interleaved rounds, alternating which side goes first, and
+// fails when any benchmark's median head/base ns/op ratio exceeds
+// 1+threshold. The ratio is absolute, never normalized: both sides share the
+// machine and the run window, so a uniform slowdown is a real regression.
+// Everything after -- is passed verbatim to both binaries:
+//
+//	dppr-benchdiff -ab -base base.test -head head.test -threshold 0.10 -- \
+//	  -test.run '^$' -test.bench 'BenchmarkServiceApply$' -test.benchtime 5x
+//
 // Benchmarks appearing in only one stream are reported and skipped; when no
 // benchmark name is common to both streams, the diff fails loudly instead of
 // vacuously passing. Multiple samples of one benchmark (-count > 1) are
@@ -62,11 +73,21 @@ func run(args []string, out io.Writer) error {
 		slow      = fs.String("slow", "", "benchmark expected to be slower (speedup mode)")
 		fast      = fs.String("fast", "", "benchmark expected to be faster (speedup mode)")
 		minRatio  = fs.Float64("min", 1.5, "fail when ns/op(slow)/ns/op(fast) is below this")
+		ab        = fs.Bool("ab", false, "A/B mode: run the -base and -head test binaries in 5 interleaved rounds and gate the absolute median ratio per benchmark; arguments after -- go to both binaries")
+		baseBin   = fs.String("base", "", "baseline test binary (A/B mode)")
+		headBin   = fs.String("head", "", "candidate test binary (A/B mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	switch {
+	case *ab:
+		if *normalize {
+			return fmt.Errorf("-ab gates absolute same-machine ratios; -normalize does not apply")
+		}
+		return runAB(out, execBench, abConfig{
+			base: *baseBin, head: *headBin, rounds: abRounds, threshold: *threshold, args: fs.Args(),
+		})
 	case *inPath != "" || *slow != "" || *fast != "":
 		if *inPath == "" || *slow == "" || *fast == "" {
 			return fmt.Errorf("speedup mode needs -in, -slow and -fast")
@@ -98,7 +119,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return diff(out, oldR, newR, *threshold, *normalize)
 	default:
-		return fmt.Errorf("usage: -old FILE -new FILE (regression) or -in FILE -slow NAME -fast NAME (speedup)")
+		return fmt.Errorf("usage: -old FILE -new FILE (regression), -in FILE -slow NAME -fast NAME (speedup) or -ab -base BIN -head BIN [-- test flags] (A/B)")
 	}
 }
 

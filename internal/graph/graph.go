@@ -3,8 +3,16 @@
 // holds the bulk of the adjacency, and per-vertex mutable delta segments
 // (overlays) absorb edge insertions and deletions. Reads fall through to the
 // base for untouched vertices, so the hottest loops in the system — push
-// frontier scans, out-degree lookups, cold queries — run over dense
-// sequentially-scannable arrays instead of pointer-chasing per-vertex slices.
+// frontier scans and cold queries — run over dense sequentially-scannable
+// arrays instead of pointer-chasing per-vertex slices.
+//
+// Out-degrees live in their own dense []int32 column, indexed by vertex id
+// and maintained by every mutation. It is the only per-vertex array the push
+// kernels read for dout(v): each propagation (1−α)·R(u)/dout(v) costs one
+// array load instead of an overlay-then-base lookup. OutDegreeColumn hands
+// the column to the kernels, which take it before each propagation loop. It is
+// a package function rather than a method so the mutable column is not
+// reachable through the exported dynppr.Graph alias.
 //
 // A delta segment is a fully materialized adjacency list for one vertex and
 // direction: the first mutation of a vertex copies its base list into the
@@ -63,6 +71,8 @@ type Graph struct {
 	n    int  // vertex slots (>= base.n: vertices can be added after a compaction)
 	m    int  // number of live edges
 
+	outDeg []int32 // logical out-degree per vertex; len(outDeg) == n
+
 	outOv  [][]VertexID // delta segment per vertex: nil = fall through to base
 	inOv   [][]VertexID
 	outGen []uint64 // viewGen at last write of the overlay (copy-on-write seal)
@@ -101,10 +111,15 @@ func fromBase(c *CSR, n int) *Graph {
 	if n < c.n {
 		n = c.n
 	}
+	outDeg := make([]int32, n)
+	for u := 0; u < c.n; u++ {
+		outDeg[u] = c.outOffsets[u+1] - c.outOffsets[u]
+	}
 	return &Graph{
 		base:   c,
 		n:      n,
 		m:      c.NumEdges(),
+		outDeg: outDeg,
 		outOv:  make([][]VertexID, n),
 		inOv:   make([][]VertexID, n),
 		outGen: make([]uint64, n),
@@ -224,6 +239,7 @@ func (g *Graph) EnsureVertex(id VertexID) {
 	if need <= g.n {
 		return
 	}
+	g.outDeg = grow(g.outDeg, need)
 	g.outOv = grow(g.outOv, need)
 	g.inOv = grow(g.inOv, need)
 	g.outGen = grow(g.outGen, need)
@@ -366,6 +382,7 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	// shift-delete through a shared prefix.
 	g.outOv[u] = append(g.writableOut(u), v)
 	g.inOv[v] = append(g.writableIn(v), u)
+	g.outDeg[u]++
 	g.deltaEdges += 2
 	g.edgeSet[e] = struct{}{}
 	g.m++
@@ -384,6 +401,7 @@ func (g *Graph) RemoveEdge(u, v VertexID) error {
 	delete(g.edgeSet, e)
 	g.outOv[u] = removeInOrder(g.writableOut(u), v)
 	g.inOv[v] = removeInOrder(g.writableIn(v), u)
+	g.outDeg[u]--
 	g.deltaEdges -= 2
 	g.m--
 	return nil
@@ -406,14 +424,15 @@ func (g *Graph) OutDegree(u VertexID) int {
 	if u < 0 || int(u) >= g.n {
 		return 0
 	}
-	if ov := g.outOv[u]; ov != nil {
-		return len(ov)
-	}
-	if int(u) < g.base.n {
-		return g.base.OutDegree(u)
-	}
-	return 0
+	return int(g.outDeg[u])
 }
+
+// OutDegreeColumn returns g's out-degree column: entry u is g.OutDegree(u),
+// for every vertex slot. The slice is owned by the graph and valid only until
+// the next mutation (EnsureVertex may reallocate it, AddEdge/RemoveEdge edit
+// it); callers must not write to it. Push kernels take it before a
+// propagation loop and index it directly inside.
+func OutDegreeColumn(g *Graph) []int32 { return g.outDeg }
 
 // InDegree returns the in-degree of v (0 for out-of-range ids).
 func (g *Graph) InDegree(v VertexID) int {
@@ -472,6 +491,7 @@ func (g *Graph) Clone() *Graph {
 		base:       g.base,
 		n:          g.n,
 		m:          g.m,
+		outDeg:     append([]int32(nil), g.outDeg...),
 		outOv:      make([][]VertexID, g.n),
 		inOv:       make([][]VertexID, g.n),
 		outGen:     make([]uint64, g.n),
@@ -553,17 +573,24 @@ func (g *Graph) DegreeHistogram() map[int]int {
 
 // CheckConsistency validates the internal invariants of the graph: the edge
 // set, the logical out lists and in lists must describe the same edge
-// multiset, m must equal their cardinality, and the delta-segment accounting
+// multiset, m must equal their cardinality, the out-degree column must match
+// the out lists, and the delta-segment accounting
 // (deltaEdges, overlaid registry) must match the segments actually present.
 // It is used by tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
 	if len(g.outOv) != g.n || len(g.inOv) != g.n {
 		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots", g.n, len(g.outOv), len(g.inOv))
 	}
+	if len(g.outDeg) != g.n {
+		return fmt.Errorf("graph: %d vertices but %d out-degree entries", g.n, len(g.outDeg))
+	}
 	g.ensureEdgeSet()
 	countOut := 0
 	for u := 0; u < g.n; u++ {
 		nbrs := g.OutNeighbors(VertexID(u))
+		if int(g.outDeg[u]) != len(nbrs) {
+			return fmt.Errorf("graph: out-degree column has %d for vertex %d, adjacency has %d", g.outDeg[u], u, len(nbrs))
+		}
 		countOut += len(nbrs)
 		for _, v := range nbrs {
 			if _, ok := g.edgeSet[Edge{VertexID(u), v}]; !ok {

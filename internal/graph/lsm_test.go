@@ -226,3 +226,146 @@ func TestFromCSRRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// wantOutDegrees derives the out-degree of every vertex from the adjacency
+// lists, the ground truth the dense column must agree with.
+func wantOutDegrees(g *Graph) []int32 {
+	d := make([]int32, g.NumVertices())
+	for u := range d {
+		d[u] = int32(len(g.OutNeighbors(VertexID(u))))
+	}
+	return d
+}
+
+// checkOutDegrees asserts the column matches the adjacency entry by entry,
+// through both the slice accessor and OutDegree, and that the graph's own
+// consistency check agrees.
+func checkOutDegrees(t *testing.T, g *Graph) {
+	t.Helper()
+	want := wantOutDegrees(g)
+	if got := OutDegreeColumn(g); !reflect.DeepEqual(got, want) {
+		t.Fatalf("out-degree column %v, adjacency says %v", got, want)
+	}
+	for u, d := range want {
+		if g.OutDegree(VertexID(u)) != int(d) {
+			t.Fatalf("OutDegree(%d) = %d, want %d", u, g.OutDegree(VertexID(u)), d)
+		}
+	}
+	if err := g.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOutDegreeColumnGrowsIntoReusedCapacity covers EnsureVertex extending
+// the column inside its existing capacity: grow must zero-fill the reused
+// tail, or a new vertex would inherit whatever the backing array held.
+func TestOutDegreeColumnGrowsIntoReusedCapacity(t *testing.T) {
+	g := New(4)
+	if _, err := g.AddEdge(4, 0); err != nil { // grows 4 -> 5 slots, cap 8
+		t.Fatal(err)
+	}
+	deg := OutDegreeColumn(g)
+	if cap(deg) < 8 {
+		t.Fatalf("expected spare capacity after growth, cap=%d", cap(deg))
+	}
+	// Dirty the spare capacity so only an explicit zero-fill passes.
+	spare := deg[:cap(deg)]
+	for i := len(deg); i < len(spare); i++ {
+		spare[i] = 99
+	}
+	if _, err := g.AddEdge(6, 1); err != nil { // grows 5 -> 7 in place
+		t.Fatal(err)
+	}
+	if &OutDegreeColumn(g)[0] != &deg[0] {
+		t.Fatal("growth within capacity reallocated the column")
+	}
+	if g.OutDegree(5) != 0 || g.OutDegree(6) != 1 {
+		t.Fatalf("grown slots read %d/%d, want 0/1", g.OutDegree(5), g.OutDegree(6))
+	}
+	checkOutDegrees(t, g)
+	if g.OutDegree(-1) != 0 || g.OutDegree(7) != 0 {
+		t.Fatal("out-of-range ids must report degree 0")
+	}
+}
+
+// TestOutDegreeColumnCloneIsIndependent checks Clone copies the column: a
+// clone's mutations must leave the original's degrees untouched.
+func TestOutDegreeColumnCloneIsIndependent(t *testing.T) {
+	g := New(8)
+	churn(t, g, 51, 300)
+	want := append([]int32(nil), OutDegreeColumn(g)...)
+
+	c := g.Clone()
+	checkOutDegrees(t, c)
+	churn(t, c, 52, 300)
+	checkOutDegrees(t, c)
+	if got := OutDegreeColumn(g); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mutating a clone changed the original's degrees: %v -> %v", want, got)
+	}
+	checkOutDegrees(t, g)
+}
+
+// TestOutDegreeColumnAcrossBackgroundCompaction drives Begin → more
+// AddEdge/RemoveEdge → Install: the column tracks the post-freeze writes,
+// and the install (which changes storage, not the logical graph) leaves it
+// exactly as it was.
+func TestOutDegreeColumnAcrossBackgroundCompaction(t *testing.T) {
+	g := New(10)
+	churn(t, g, 61, 400)
+	c := g.BeginCompaction()
+	churn(t, g, 62, 250)
+	checkOutDegrees(t, g)
+	before := append([]int32(nil), OutDegreeColumn(g)...)
+
+	if !g.Install(c, c.Build()) {
+		t.Fatal("install rejected a current compaction")
+	}
+	if got := OutDegreeColumn(g); !reflect.DeepEqual(got, before) {
+		t.Fatal("install changed the out-degree column")
+	}
+	checkOutDegrees(t, g)
+	churn(t, g, 63, 200) // mutations over the new base keep it in step
+	checkOutDegrees(t, g)
+	g.Compact()
+	checkOutDegrees(t, g)
+}
+
+// TestOutDegreeColumnFromImageAndAdjacency checks the two recovery
+// constructors build the column: FromCSR of a checkpoint image (raw arrays
+// through NewCSR, the decoder's entry point) and FromAdjacency, both with
+// trailing isolated vertices that have no out-edges.
+func TestOutDegreeColumnFromImageAndAdjacency(t *testing.T) {
+	g := New(12)
+	churn(t, g, 71, 400)
+	g.EnsureVertex(VertexID(g.NumVertices() + 2))
+	want := wantOutDegrees(g)
+
+	base := g.CompactedSnapshot()
+	outOff, outT := base.RawOut()
+	inOff, inT := base.RawIn()
+	image, err := NewCSR(
+		append([]int32(nil), outOff...), append([]int32(nil), inOff...),
+		append([]VertexID(nil), outT...), append([]VertexID(nil), inT...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := FromCSR(image)
+	if got := OutDegreeColumn(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromCSR column %v, want %v", got, want)
+	}
+	checkOutDegrees(t, r)
+	churn(t, r, 72, 200)
+	checkOutDegrees(t, r)
+
+	out, in := dumpAdjacency(g)
+	a, err := FromAdjacency(out, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := OutDegreeColumn(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromAdjacency column %v, want %v", got, want)
+	}
+	checkOutDegrees(t, a)
+	checkOutDegrees(t, New(5))
+	checkOutDegrees(t, FromEdges([]Edge{{0, 3}, {0, 1}, {2, 3}, {0, 3}}))
+}

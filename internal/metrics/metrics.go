@@ -67,9 +67,16 @@ func (c *Counters) AddRestoreOps(n int64) { atomic.AddInt64(&c.RestoreOps, n) }
 func (c *Counters) AddRandomAccesses(n int64) { atomic.AddInt64(&c.RandomAccesses, n) }
 
 // ObserveIteration records one push round over a frontier of the given size.
-func (c *Counters) ObserveIteration(frontierSize int) {
-	atomic.AddInt64(&c.Iterations, 1)
-	atomic.AddInt64(&c.FrontierTotal, int64(frontierSize))
+func (c *Counters) ObserveIteration(frontierSize int) { c.ObserveIterations(1, frontierSize) }
+
+// ObserveIterations records n push rounds, each over a frontier of the given
+// size: the batched form of n ObserveIteration calls.
+func (c *Counters) ObserveIterations(n int64, frontierSize int) {
+	if n <= 0 {
+		return
+	}
+	atomic.AddInt64(&c.Iterations, n)
+	atomic.AddInt64(&c.FrontierTotal, n*int64(frontierSize))
 	for {
 		cur := atomic.LoadInt64(&c.FrontierPeak)
 		if int64(frontierSize) <= cur {

@@ -73,8 +73,9 @@ func (e *PushEngine) bind(st *push.State) {
 		counters.AddPropagations(int64(len(in)))
 		counters.AddRandomAccesses(int64(len(in)))
 		share := w * ru
+		deg := graph.OutDegreeColumn(g) // re-read per call: mutations between runs may reallocate it
 		for _, v := range in {
-			d.Add(v, share/float64(g.OutDegree(v)))
+			d.Add(v, share/float64(deg[v]))
 		}
 	}
 	e.m.SetFrontierHook(st.MarkEstimatesDirty)

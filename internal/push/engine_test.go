@@ -459,3 +459,62 @@ func TestParallelManyWorkersUnderContention(t *testing.T) {
 		}
 	}
 }
+
+// TestSequentialCounterIdentities pins the work counters of the sequential
+// engine after a fixed workload (cold start, then a mixed batch). The engine
+// accumulates its counts locally and flushes them once per phase, so the
+// totals must equal the per-push accounting exactly: one iteration over a
+// one-vertex frontier per push, one random access per propagation, no atomic
+// adds or duplicate attempts, and the recorded pushes, propagations and
+// enqueues of this workload.
+func TestSequentialCounterIdentities(t *testing.T) {
+	edges, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: 300, Edges: 3000, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.FromEdges(edges[:2000])
+	source := g.TopDegreeVertices(1)[0]
+	st, err := NewState(g, source, Config{Alpha: 0.15, Epsilon: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewSequential()
+	e.Run(st, []graph.VertexID{source})
+	var touched []graph.VertexID
+	for i, ed := range edges[:2000] {
+		if i%7 == 0 {
+			if changed, _ := st.ApplyDelete(ed.U, ed.V); changed {
+				touched = append(touched, ed.U)
+			}
+		}
+	}
+	for _, ed := range edges[2000:2300] {
+		if changed, _ := st.ApplyInsert(ed.U, ed.V); changed {
+			touched = append(touched, ed.U)
+		}
+	}
+	e.Run(st, touched)
+	if !st.Converged() {
+		t.Fatal("not converged")
+	}
+
+	c := st.Counters.Snapshot()
+	if c.Pushes == 0 {
+		t.Fatal("workload performed no pushes")
+	}
+	if c.Iterations != c.Pushes || c.FrontierTotal != c.Pushes || c.FrontierPeak != 1 {
+		t.Errorf("iteration accounting: iterations=%d frontierTotal=%d peak=%d, want %d/%d/1",
+			c.Iterations, c.FrontierTotal, c.FrontierPeak, c.Pushes, c.Pushes)
+	}
+	if c.RandomAccesses != c.Propagations {
+		t.Errorf("random accesses %d != propagations %d", c.RandomAccesses, c.Propagations)
+	}
+	if c.AtomicAdds != 0 || c.DuplicateAttempts != 0 {
+		t.Errorf("sequential engine recorded atomics=%d duplicates=%d", c.AtomicAdds, c.DuplicateAttempts)
+	}
+	want := struct{ pushes, props, enqueues int64 }{16046, 111891, 15930}
+	if c.Pushes != want.pushes || c.Propagations != want.props || c.Enqueues != want.enqueues {
+		t.Errorf("pushes/propagations/enqueues = %d/%d/%d, want %d/%d/%d",
+			c.Pushes, c.Propagations, c.Enqueues, want.pushes, want.props, want.enqueues)
+	}
+}

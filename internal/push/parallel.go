@@ -119,6 +119,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, se
 	alpha := st.cfg.Alpha
 	eps := st.cfg.Epsilon
 	g := st.g
+	deg := graph.OutDegreeColumn(g)
 	counters := st.Counters
 
 	// Session 1 (self-update): S = {(u, R(u))}; P(u) += α·R(u); R(u) = 0.
@@ -144,7 +145,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, se
 		counters.AddAtomicAdds(int64(len(in)))
 		counters.AddRandomAccesses(int64(len(in)))
 		for _, v := range in {
-			inc := (1 - alpha) * w / float64(g.OutDegree(v))
+			inc := (1 - alpha) * w / float64(deg[v])
 			before := st.r.AtomicAdd(int(v), inc)
 			after := before + inc
 			if e.variant.LocalDuplicateDetection {
@@ -185,6 +186,7 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, seen, inF
 	alpha := st.cfg.Alpha
 	eps := st.cfg.Epsilon
 	g := st.g
+	deg := graph.OutDegreeColumn(g)
 	counters := st.Counters
 
 	if inFrontier != nil {
@@ -206,7 +208,7 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, seen, inF
 		counters.AddAtomicAdds(int64(len(in)))
 		counters.AddRandomAccesses(int64(len(in)))
 		for _, v := range in {
-			inc := (1 - alpha) * ru / float64(g.OutDegree(v))
+			inc := (1 - alpha) * ru / float64(deg[v])
 			before := st.r.AtomicAdd(int(v), inc)
 			after := before + inc
 			if e.variant.LocalDuplicateDetection {

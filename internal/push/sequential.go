@@ -29,6 +29,7 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 	eps := st.cfg.Epsilon
 	alpha := st.cfg.Alpha
 	g := st.g
+	deg := graph.OutDegreeColumn(g) // the push never mutates the graph
 	queue := st.activeFrom(candidates, ph)
 	if len(queue) == 0 {
 		return
@@ -40,7 +41,10 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 	for _, v := range queue {
 		inQueue[v] = true
 	}
-	counters := st.Counters
+	// Work counters accumulate in locals and are flushed once per phase:
+	// the shared metrics.Counters use atomic adds, which would otherwise
+	// cost several locked instructions per push.
+	var pushes, props, enqueues int64
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -49,8 +53,7 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 		if !ph.cond(ru, eps) {
 			continue
 		}
-		counters.AddPushes(1)
-		counters.ObserveIteration(1)
+		pushes++
 		// Self-update: move the α share into the estimate, clear the residual.
 		st.p.Set(int(u), st.p.Get(int(u))+alpha*ru)
 		st.r.Set(int(u), 0)
@@ -58,17 +61,23 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 		// Neighbor propagation: each in-neighbor v of u receives
 		// (1−α)·ru/dout(v).
 		in := g.InNeighbors(graph.VertexID(u))
-		counters.AddPropagations(int64(len(in)))
-		counters.AddRandomAccesses(int64(len(in)))
+		props += int64(len(in))
 		for _, v := range in {
-			dv := float64(g.OutDegree(v))
+			dv := float64(deg[v])
 			nr := st.r.Get(int(v)) + (1-alpha)*ru/dv
 			st.r.Set(int(v), nr)
 			if ph.cond(nr, eps) && !inQueue[v] {
 				inQueue[v] = true
 				queue = append(queue, int32(v))
-				counters.AddEnqueues(1)
+				enqueues++
 			}
 		}
 	}
+	// Each push is its own iteration over a one-vertex frontier.
+	counters := st.Counters
+	counters.AddPushes(pushes)
+	counters.ObserveIterations(pushes, 1)
+	counters.AddPropagations(props)
+	counters.AddRandomAccesses(props)
+	counters.AddEnqueues(enqueues)
 }
