@@ -469,8 +469,7 @@ func topKBenchSetup() {
 		return
 	}
 	split := edges - 200
-	opts := dynppr.DefaultOptions()
-	opts.Engine = dynppr.EngineDeterministic
+	opts := dynppr.DefaultServiceOptions().Options
 	opts.Epsilon = 1e-4
 	batch := make(dynppr.Batch, 0, edges-split)
 	for _, e := range all[split:] {

@@ -82,25 +82,26 @@ func chaosWorkload(t *testing.T, svc *Service, stream []Batch) {
 	}
 }
 
+// TestChaosDifferential runs at PoolWorkers 1 and 4, the Service's only
+// scheduling axis; the subtests keep their historical parallelism=N names.
 func TestChaosDifferential(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			testChaosDifferential(t, par)
+	for _, pool := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
+			testChaosDifferential(t, pool)
 		})
 	}
 }
 
-func testChaosDifferential(t *testing.T, parallelism int) {
+func testChaosDifferential(t *testing.T, pool int) {
 	const batches = 5
 	initial, stream := recoveryWorkload(t, 250, 2500, batches, 20)
 
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = parallelism
+	opts.Engine = EngineSequential
 	opts.Epsilon = 1e-5
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
 	oracle := oracleStates(t, initial, sources, stream, opts)
-	so := ServiceOptions{Options: opts, PoolWorkers: 2}
+	so := serviceOptions(opts, pool)
 
 	boot := func(t *testing.T) (*Service, *faultfs.Injector, string) {
 		t.Helper()

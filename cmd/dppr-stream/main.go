@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 		batch    = fs.Int("batch", 100, "edges inserted (and deleted) per window slide")
 		slides   = fs.Int("slides", 20, "number of window slides to replay")
 		epsilon  = fs.Float64("epsilon", 1e-6, "error threshold")
-		engine   = fs.String("engine", "parallel", "engine: parallel, sequential, vertex-centric")
+		engine   = fs.String("engine", "parallel", "engine: parallel, sequential, vertex-centric, deterministic")
 		workers  = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		topK     = fs.Int("top", 5, "number of top-ranked vertices to print at the end")
 		seed     = fs.Int64("seed", 1, "random seed")
@@ -77,15 +77,9 @@ func run(args []string, out io.Writer) error {
 	opts := dynppr.DefaultOptions()
 	opts.Epsilon = *epsilon
 	opts.Workers = *workers
-	switch *engine {
-	case "parallel":
-		opts.Engine = dynppr.EngineParallel
-	case "sequential":
-		opts.Engine = dynppr.EngineSequential
-	case "vertex-centric":
-		opts.Engine = dynppr.EngineVertexCentric
-	default:
-		return fmt.Errorf("unknown engine %q", *engine)
+	var err error
+	if opts.Engine, err = dynppr.ParseEngineKind(*engine); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "dataset=%s vertices=%d window=%d source=%d engine=%s epsilon=%.0e\n",

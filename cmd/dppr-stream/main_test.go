@@ -41,7 +41,7 @@ func TestRunOnGeneratedGraph(t *testing.T) {
 }
 
 func TestRunEngines(t *testing.T) {
-	for _, engine := range []string{"parallel", "vertex-centric"} {
+	for _, engine := range []string{"parallel", "vertex-centric", "deterministic"} {
 		var buf bytes.Buffer
 		err := run([]string{
 			"-vertices", "200", "-edges", "1500", "-batch", "10", "-slides", "2",
@@ -53,6 +53,23 @@ func TestRunEngines(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := run([]string{"-engine", "warp-drive", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
+		t.Fatal("unknown engine must fail")
+	}
+}
+
+func TestParseEngine(t *testing.T) {
+	for name, want := range map[string]dynppr.EngineKind{
+		"parallel":       dynppr.EngineParallel,
+		"sequential":     dynppr.EngineSequential,
+		"vertex-centric": dynppr.EngineVertexCentric,
+		"deterministic":  dynppr.EngineDeterministic,
+	} {
+		got, err := dynppr.ParseEngineKind(name)
+		if err != nil || got != want {
+			t.Fatalf("ParseEngineKind(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := dynppr.ParseEngineKind("gpu"); err == nil {
 		t.Fatal("unknown engine must fail")
 	}
 }

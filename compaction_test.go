@@ -63,13 +63,13 @@ func slidingWindowStream(universe, initial []dynppr.Edge, window, batches, batch
 }
 
 // TestCompactionDifferential is the storage engine's end-to-end bit-identity
-// gate: two deterministic services replay the same stream, one compacting
+// gate: two services replay the same stream, one compacting
 // aggressively (background merges racing the write pipeline, inline merges,
 // an explicit mid-stream CompactNow), the other never compacting. After
 // every batch their published estimates and Top-K rankings must agree to the
 // bit, and at the end their checkpoints — estimates, residuals, snapshot
 // epochs, and the compacted CSR image — must be byte-identical. Runs at
-// parallelism 1 and 4; the -race runs in CI double as the data-race check on
+// PoolWorkers 1 and 4; the -race runs in CI double as the data-race check on
 // the background compactor.
 func TestCompactionDifferential(t *testing.T) {
 	universe, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
@@ -97,17 +97,11 @@ func TestCompactionDifferential(t *testing.T) {
 		for _, sc := range scenarios {
 			sc := sc
 			t.Run(sc.name+parSuffix(par), func(t *testing.T) {
-				opts := dynppr.DefaultOptions()
-				opts.Engine = dynppr.EngineDeterministic
-				opts.Epsilon = 1e-5
-				opts.Workers = par
-				opts.Parallelism = par
 				build := func(compactAfter int, dir string) *dynppr.Service {
-					so := dynppr.ServiceOptions{
-						Options:                opts,
-						PoolWorkers:            par,
-						CompactAfterDeltaEdges: compactAfter,
-					}
+					so := dynppr.DefaultServiceOptions()
+					so.Options.Epsilon = 1e-5
+					so.PoolWorkers = par
+					so.CompactAfterDeltaEdges = compactAfter
 					svc, err := dynppr.NewPersistentService(
 						dynppr.GraphFromEdges(initial), sources, so,
 						dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncNone})

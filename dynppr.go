@@ -39,9 +39,10 @@
 //	fmt.Println(tr.Estimate(4))
 //
 // Tracker and TrackerSet are single-goroutine types. To serve queries from
-// many goroutines while an update stream is applied, use Service: it shards
-// multiple sources across a worker pool, serializes writes through one
-// pipeline, and answers reads lock-free from converged snapshots.
+// many goroutines while an update stream is applied, use Service: it pushes
+// its sources sequentially on a shared worker pool, serializes writes
+// through one pipeline, and answers reads lock-free from converged
+// snapshots.
 //
 // To serve a Service over the network, see internal/httpapi (HTTP/JSON
 // handler, server and client; every read response carries the SnapshotInfo
@@ -151,7 +152,7 @@ func (k EngineKind) String() string {
 	}
 }
 
-// ParseEngineKind parses the -engine flag values shared by the daemons:
+// ParseEngineKind parses the engine names dppr-stream's -engine flag takes:
 // "parallel", "sequential", "vertex-centric", "deterministic".
 func ParseEngineKind(name string) (EngineKind, error) {
 	switch name {

@@ -122,12 +122,8 @@ func main() {
 		float64(queries.Load())/elapsed.Seconds())
 	fmt.Println("\nfinal serving state:")
 	for _, ss := range stats.Sources {
-		info, err := svc.Info(ss.Source)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  source %-6d epoch %-3d residual %.1e converged=%t\n",
-			ss.Source, info.Epoch, info.MaxResidual, info.Converged())
+		fmt.Printf("  source %-6d epoch %-3d pushes %-9d max residual %.2e (epsilon %.0e)\n",
+			ss.Source, ss.Epoch, ss.Pushes, ss.MaxResidual, so.Options.Epsilon)
 	}
 
 	// Each snapshot is a coherent converged vector, so rankings read

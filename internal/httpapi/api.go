@@ -263,7 +263,6 @@ type OnDemandStats struct {
 // SourceStats is the wire form of dynppr.SourceStats.
 type SourceStats struct {
 	Source      dynppr.VertexID `json:"source"`
-	Shard       int             `json:"shard"`
 	Epoch       uint64          `json:"epoch"`
 	Pushes      int64           `json:"pushes"`
 	MaxResidual float64         `json:"max_residual"`
@@ -351,7 +350,6 @@ func serviceStats(st dynppr.ServiceStats) ServiceStats {
 	for _, ss := range st.Sources {
 		out.Sources = append(out.Sources, SourceStats{
 			Source:         ss.Source,
-			Shard:          ss.Shard,
 			Epoch:          ss.Epoch,
 			Pushes:         ss.Pushes,
 			MaxResidual:    ss.MaxResidual,

@@ -31,7 +31,6 @@ func newTestAPI(t *testing.T, nSources int) (*dynppr.Service, []dynppr.VertexID,
 	sources := g.TopDegreeVertices(nSources)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-4
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	svc, err := dynppr.NewService(g, sources, so)
 	if err != nil {

@@ -34,7 +34,6 @@ func newOnDemandAPI(t *testing.T, od dynppr.OnDemandOptions) (*dynppr.Service, [
 	sources := g.TopDegreeVertices(2)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-5
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.OnDemand = od
 	svc, err := dynppr.NewService(g, sources, so)

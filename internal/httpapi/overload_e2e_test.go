@@ -33,7 +33,6 @@ func overloadServer(t *testing.T, handler httpapi.HandlerOptions) (*dynppr.Servi
 	sources := g.TopDegreeVertices(2)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-6
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.QueueDepth = 1
 	svc, err := dynppr.NewService(g, sources, so)
@@ -394,7 +393,6 @@ func TestHTTPOverloadRestartNoLostAcks(t *testing.T) {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-6
-	so.Options.Engine = dynppr.EngineDeterministic
 	so.QueueDepth = 1
 	po := dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncAlways}
 	svc, err := dynppr.NewPersistentService(g, sources, so, po)

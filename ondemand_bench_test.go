@@ -28,8 +28,7 @@ func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := dynppr.DefaultOptions()
-	opts.Engine = dynppr.EngineDeterministic
+	opts := dynppr.DefaultServiceOptions().Options
 	opts.Epsilon = 1e-4
 	g := dynppr.GraphFromEdges(edges)
 	tracked := g.TopDegreeVertices(1)[0]
@@ -121,8 +120,7 @@ func (st *odBenchState) setup(vertices int) {
 		st.err = err
 		return
 	}
-	opts := dynppr.DefaultOptions()
-	opts.Engine = dynppr.EngineDeterministic
+	opts := dynppr.DefaultServiceOptions().Options
 	opts.Epsilon = 1e-4
 	build := func(promoteAfter, resultCache int) (*dynppr.Service, dynppr.VertexID, error) {
 		g := dynppr.GraphFromEdges(edges)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -33,10 +34,11 @@ import (
 // Recovery loads the checkpoint, replays the WAL suffix past the
 // checkpoint's sequence number through the ordinary write pipeline (so each
 // replayed batch converges exactly as it originally did), and re-checkpoints.
-// Under EngineDeterministic the recovered estimates, residuals and snapshot
-// epochs are bit-identical to a process that never crashed, because the
-// checkpoint preserves adjacency-list order — the floating-point summation
-// order of subsequent pushes — and the snapshot epochs it had published.
+// The recovered estimates, residuals and snapshot epochs are bit-identical
+// to a process that never crashed, by construction and with no engine
+// choice: every source runs the sequential push, and the checkpoint
+// preserves adjacency-list order — the floating-point summation order of
+// subsequent pushes — and the snapshot epochs it had published.
 
 // SyncPolicy selects when WAL appends reach stable storage; see the wal
 // package for the exact guarantees.
@@ -588,7 +590,7 @@ func (s *Service) checkpointData(lsn uint64) *ckpt.Data {
 		s.compactions.Add(1)
 	}
 	s.noteStorage()
-	sources := s.allSources()
+	sources := slices.Clone(s.srcs)
 	sort.Slice(sources, func(i, j int) bool { return sources[i].source < sources[j].source })
 	data := &ckpt.Data{
 		LSN:     lsn,
@@ -643,9 +645,10 @@ func NewPersistentService(g *Graph, sources []VertexID, so ServiceOptions, po Pe
 // sequence number is replayed through the ordinary write pipeline (torn
 // final records — mutations never acknowledged as durable — are discarded),
 // and a fresh checkpoint is written before the service is returned. The
-// scheme parameters (α, ε) are restored from the checkpoint; engine and
-// pool options come from so. Snapshot epochs resume exactly where the
-// recovered state left them, so they never regress across a restart.
+// scheme parameters (α, ε) are restored from the checkpoint; the pool,
+// queue and on-demand options come from so. Snapshot epochs resume exactly
+// where the recovered state left them, so they never regress across a
+// restart.
 // Restored states carry a poisoned estimate-dirty set (see
 // push.RestoreState), so the reseed's first publications are full copies
 // and rebuild each source's Top-K index from scratch — delta history from

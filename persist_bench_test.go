@@ -83,7 +83,6 @@ func buildRecoveryDir(b *testing.B, vertices, edges, nSources int, epsilon float
 	sources := g.TopDegreeVertices(nSources)
 
 	so := dynppr.DefaultServiceOptions()
-	so.Options.Engine = dynppr.EngineDeterministic
 	so.Options.Epsilon = epsilon
 
 	dir := filepath.Join(b.TempDir(), "data")

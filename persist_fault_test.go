@@ -23,8 +23,6 @@ func faultTestService(t *testing.T, po func(*PersistOptions)) (*Service, *faultf
 	t.Helper()
 	initial, stream := recoveryWorkload(t, 150, 1200, 4, 15)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = 1
 	opts.Epsilon = 1e-4
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
 	in := faultfs.NewInjector(faultfs.OS)
@@ -34,7 +32,7 @@ func faultTestService(t *testing.T, po func(*PersistOptions)) (*Service, *faultf
 		po(&p)
 	}
 	svc, err := NewPersistentService(GraphFromEdges(initial), sources,
-		ServiceOptions{Options: opts, PoolWorkers: 1}, p)
+		serviceOptions(opts, 1), p)
 	if err != nil {
 		t.Fatal(err)
 	}

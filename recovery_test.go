@@ -2,7 +2,7 @@ package dynppr
 
 // Crash-recovery differential tests: the durability contract of the
 // persistent Service is that a recovery from checkpoint + WAL replay is
-// indistinguishable — bit for bit, under EngineDeterministic — from a
+// indistinguishable — bit for bit — from a
 // process that was simply fed the surviving prefix of the update stream and
 // never crashed. The tests simulate crashes by truncating the WAL at every
 // record boundary and at torn positions inside records (mid-frame,
@@ -54,6 +54,12 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// serviceOptions is the Service counterpart of a Tracker's opts: the same α
+// and ε over a pool of the given size.
+func serviceOptions(opts Options, pool int) ServiceOptions {
+	return ServiceOptions{Options: SourceOptions{Alpha: opts.Alpha, Epsilon: opts.Epsilon}, PoolWorkers: pool}
 }
 
 // sourceState is the oracle's record of one source after a batch prefix.
@@ -159,27 +165,27 @@ func assertRecoveredState(t *testing.T, svc *Service, sources []VertexID, oracle
 // subsystem: a random update stream is journaled, the journal is cut at
 // every record boundary and at torn positions inside records, and each cut
 // is recovered and compared against an oracle Tracker fed the surviving
-// prefix — at deterministic-engine parallelism 1 and 4.
+// prefix — at PoolWorkers 1 and 4 (the subtests keep their historical
+// parallelism=N names).
 func TestCrashRecoveryDifferential(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			testCrashRecoveryDifferential(t, par)
+	for _, pool := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
+			testCrashRecoveryDifferential(t, pool)
 		})
 	}
 }
 
-func testCrashRecoveryDifferential(t *testing.T, parallelism int) {
+func testCrashRecoveryDifferential(t *testing.T, pool int) {
 	const batches = 8
 	initial, stream := recoveryWorkload(t, 400, 4000, batches, 25)
 
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = parallelism
+	opts.Engine = EngineSequential
 	opts.Epsilon = 1e-5
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
 	oracle := oracleStates(t, initial, sources, stream, opts)
 
-	so := ServiceOptions{Options: opts, PoolWorkers: 2}
+	so := serviceOptions(opts, pool)
 	dir := filepath.Join(t.TempDir(), "data")
 	svc, err := NewPersistentService(GraphFromEdges(initial), sources, so, PersistOptions{Dir: dir, Sync: SyncNone})
 	if err != nil {
@@ -256,8 +262,6 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 	initial, stream := recoveryWorkload(t, 300, 3000, batches, 20)
 
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = 2
 	opts.Epsilon = 1e-5
 	base := GraphFromEdges(initial).TopDegreeVertices(3)
 	sources := base[:2]
@@ -291,7 +295,7 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 	}
 
 	// Reference: an in-memory service, never persisted, never crashed.
-	ref, err := NewService(GraphFromEdges(initial), sources, ServiceOptions{Options: opts, PoolWorkers: 2})
+	ref, err := NewService(GraphFromEdges(initial), sources, serviceOptions(opts, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +306,7 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 
 	// Persistent run with a real mid-stream checkpoint.
 	dir := filepath.Join(t.TempDir(), "data")
-	svc, err := NewPersistentService(GraphFromEdges(initial), sources, ServiceOptions{Options: opts, PoolWorkers: 2},
+	svc, err := NewPersistentService(GraphFromEdges(initial), sources, serviceOptions(opts, 2),
 		PersistOptions{Dir: dir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +352,7 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 	// Full recovery: everything survived (fsync=always, clean close). The
 	// WAL holds post-checkpoint records, so this boot must re-checkpoint.
 	fullDir := copyDataDir(t, dir, -1)
-	rec, err := NewServiceFromRecovery(ServiceOptions{Options: opts, PoolWorkers: 2}, PersistOptions{Dir: fullDir, Sync: SyncAlways})
+	rec, err := NewServiceFromRecovery(serviceOptions(opts, 2), PersistOptions{Dir: fullDir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +363,7 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 	rec.Close()
 	// Recovering the now-clean directory again replays nothing, so the boot
 	// skips re-serializing the byte-identical checkpoint it just loaded.
-	rec, err = NewServiceFromRecovery(ServiceOptions{Options: opts, PoolWorkers: 2}, PersistOptions{Dir: fullDir, Sync: SyncAlways})
+	rec, err = NewServiceFromRecovery(serviceOptions(opts, 2), PersistOptions{Dir: fullDir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +384,7 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 		t.Fatalf("rotated WAL holds %d records, want at least 2", len(records))
 	}
 	cutAt := records[1].Offset // keep exactly one post-checkpoint record (batch 5)
-	ref2, err := NewService(GraphFromEdges(initial), sources, ServiceOptions{Options: opts, PoolWorkers: 2})
+	ref2, err := NewService(GraphFromEdges(initial), sources, serviceOptions(opts, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +399,7 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 			}
 		}
 	}
-	rec2, err := NewServiceFromRecovery(ServiceOptions{Options: opts, PoolWorkers: 2}, PersistOptions{Dir: copyDataDir(t, dir, cutAt), Sync: SyncAlways})
+	rec2, err := NewServiceFromRecovery(serviceOptions(opts, 2), PersistOptions{Dir: copyDataDir(t, dir, cutAt), Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +414,8 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 func TestRecoveryOfZeroSourceService(t *testing.T) {
 	initial, stream := recoveryWorkload(t, 200, 1600, 2, 10)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
 	opts.Epsilon = 1e-4
-	so := ServiceOptions{Options: opts, PoolWorkers: 1}
+	so := serviceOptions(opts, 1)
 	sources := GraphFromEdges(initial).TopDegreeVertices(1)
 	dir := filepath.Join(t.TempDir(), "data")
 
@@ -461,9 +464,8 @@ func TestRecoveryOfZeroSourceService(t *testing.T) {
 func TestUnjournalableUpdatesDoNotPoisonRecovery(t *testing.T) {
 	initial, stream := recoveryWorkload(t, 200, 1600, 2, 10)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
 	opts.Epsilon = 1e-4
-	so := ServiceOptions{Options: opts, PoolWorkers: 1}
+	so := serviceOptions(opts, 1)
 	sources := GraphFromEdges(initial).TopDegreeVertices(1)
 	dir := filepath.Join(t.TempDir(), "data")
 
@@ -524,7 +526,7 @@ func TestPersistentServiceBootGuards(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = 1e-4
 	sources := GraphFromEdges(initial).TopDegreeVertices(1)
-	so := ServiceOptions{Options: opts, PoolWorkers: 1}
+	so := serviceOptions(opts, 1)
 	dir := filepath.Join(t.TempDir(), "data")
 
 	svc, err := NewPersistentService(GraphFromEdges(initial), sources, so, PersistOptions{Dir: dir})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,10 +30,11 @@ import (
 //     goroutines; they are serialized in arrival order and block until their
 //     effect is complete and published.
 //
-//   - Per-source push work is sharded across a fixed pool of workers: every
-//     source is pinned to one shard worker, which restores the source state
-//     after each batch, runs the push engine to convergence, and then
-//     publishes a fresh snapshot with one atomic pointer swap.
+//   - After each batch every source runs the sequential push (Algorithm 2)
+//     to convergence and publishes a fresh snapshot with one atomic pointer
+//     swap. The sources are independent, so the batch hands them out one at
+//     a time to a pool of PoolWorkers goroutines; a source's push never runs
+//     on two goroutines at once.
 //
 //   - Reads — Estimate, Estimates, TopK, Info — are lock-free: they load the
 //     source's current snapshot through an atomic pointer and read immutable
@@ -45,12 +47,11 @@ import (
 // Consequently every read reflects the graph as of some completed batch
 // (monotonically advancing per source), never a partially applied one.
 //
-// With Options.Engine set to EngineDeterministic the service is additionally
-// reproducible: ApplyBatch routes every source's push through the
-// deterministic parallel engine, whose output is bit-identical at any
-// Options.Parallelism, so replaying the same batch sequence over the same
-// initial graph publishes snapshots with exactly the same float64 bits —
-// regardless of PoolWorkers, scheduling, or the machine's core count.
+// The service is reproducible by construction, with no engine to choose:
+// each source's push is sequential and touches only that source's state, so
+// replaying the same batch sequence over the same initial graph publishes
+// snapshots with exactly the same float64 bits — regardless of PoolWorkers,
+// scheduling, or the machine's core count.
 type Service struct {
 	opts ServiceOptions
 
@@ -66,10 +67,9 @@ type Service struct {
 
 	// Pipeline-owned state (touched only on the pipeline goroutine after
 	// construction).
-	g        *Graph
-	shards   [][]*serviceSource
-	shardCh  []chan shardJob
-	workerWG sync.WaitGroup
+	g *Graph
+	// srcs lists the tracked sources every batch pushes.
+	srcs []*serviceSource
 	// statesBuf and touchedBuf are per-batch scratch recycled across
 	// batches, so the steady-state write path does not allocate them anew.
 	statesBuf  []*push.State
@@ -118,30 +118,36 @@ type Service struct {
 type sourceTable map[VertexID]*serviceSource
 
 // serviceSource is one tracked source: its push state, engine, and snapshot
-// publication slot. The state and engine are owned by the source's shard
-// worker (and by the pipeline goroutine during AddSource cold start); the
+// publication slot. The state and engine are owned by the pipeline goroutine
+// and, during a batch, by the pool goroutine that claimed the source; the
 // slot is the read/write boundary.
 type serviceSource struct {
 	source VertexID
-	shard  int
 	st     *push.State
-	engine push.Engine
+	engine *push.Sequential
 	slot   *push.SnapshotSlot
 }
 
-type shardJob struct {
-	sources []*serviceSource
-	touched []graph.VertexID
-	wg      *sync.WaitGroup
+// SourceOptions are the tracking parameters every source of a Service runs
+// with. The push itself is always the sequential engine (EngineSequential).
+type SourceOptions struct {
+	// Alpha is the teleport/termination probability. Default 0.15.
+	Alpha float64
+	// Epsilon is the approximation threshold: estimates stay within Epsilon
+	// of the exact value. Default 1e-6.
+	Epsilon float64
+}
+
+func (o SourceOptions) config() push.Config {
+	return push.Config{Alpha: o.Alpha, Epsilon: o.Epsilon}
 }
 
 // ServiceOptions configure a Service.
 type ServiceOptions struct {
-	// Options are the per-source tracking options (α, ε, engine, variant).
-	// Options.Workers bounds the parallelism inside one source's push.
-	Options Options
-	// PoolWorkers is the number of shard workers pushing sources
-	// concurrently; <= 0 selects GOMAXPROCS.
+	// Options are the per-source tracking parameters (α, ε).
+	Options SourceOptions
+	// PoolWorkers is the number of goroutines pushing sources concurrently
+	// after each batch; <= 0 selects GOMAXPROCS. It never affects results.
 	PoolWorkers int
 	// QueueDepth is the capacity of the write pipeline. When it is full,
 	// ApplyBatch/AddSource/RemoveSource block (backpressure), the Ctx
@@ -206,10 +212,11 @@ func (so ServiceOptions) topKCap() int {
 // values rather than whatever the caller passed in.
 func (s *Service) Options() ServiceOptions { return s.opts }
 
-// DefaultServiceOptions returns the default tracking options with a
-// GOMAXPROCS-sized shard pool.
+// DefaultServiceOptions returns the paper's α and ε with a GOMAXPROCS-sized
+// push pool.
 func DefaultServiceOptions() ServiceOptions {
-	return ServiceOptions{Options: DefaultOptions()}
+	d := DefaultOptions()
+	return ServiceOptions{Options: SourceOptions{Alpha: d.Alpha, Epsilon: d.Epsilon}}
 }
 
 // Service errors.
@@ -229,9 +236,9 @@ var (
 
 // NewService builds a serving layer over g tracking the given sources,
 // cold-starts every source to convergence, publishes their first snapshots,
-// and starts the write pipeline and shard workers. The service takes
-// ownership of g: the caller must not read or mutate it afterwards.
-// Close must be called to release the worker goroutines.
+// and starts the write pipeline. The service takes ownership of g: the
+// caller must not read or mutate it afterwards. Close must be called to
+// release the pipeline goroutine.
 //
 // A Service built this way is in-memory only; use NewPersistentService or
 // NewServiceFromRecovery for one whose state survives restarts.
@@ -253,7 +260,7 @@ type seedSource struct {
 // to republish without re-running any push (the recovery path). Exactly one
 // of the two is non-nil.
 func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSource) (*Service, error) {
-	if err := so.Options.Validate(); err != nil {
+	if err := so.Options.config().Validate(); err != nil {
 		return nil, err
 	}
 	sources := cold
@@ -277,36 +284,28 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 	}
 
 	svc := &Service{
-		opts:    so,
-		g:       g,
-		work:    make(chan func(), so.QueueDepth),
-		done:    make(chan struct{}),
-		shards:  make([][]*serviceSource, so.PoolWorkers),
-		shardCh: make([]chan shardJob, so.PoolWorkers),
+		opts: so,
+		g:    g,
+		work: make(chan func(), so.QueueDepth),
+		done: make(chan struct{}),
+		srcs: make([]*serviceSource, 0, len(sources)),
 	}
 
 	table := make(sourceTable, len(sources))
-	cfg := push.Config{Alpha: so.Options.Alpha, Epsilon: so.Options.Epsilon}
-	all := make([]*serviceSource, 0, len(sources))
 	for i, s := range sources {
-		engine, err := so.Options.buildEngine()
-		if err != nil {
-			return nil, err
-		}
 		var st *push.State
 		if recovered != nil {
 			st = recovered[i].st
 		} else {
-			st, err = push.NewState(g, s, cfg)
-			if err != nil {
+			var err error
+			if st, err = push.NewState(g, s, so.Options.config()); err != nil {
 				return nil, err
 			}
 		}
 		src := &serviceSource{
 			source: s,
-			shard:  i % so.PoolWorkers,
 			st:     st,
-			engine: engine,
+			engine: push.NewSequential(),
 			slot:   push.NewSnapshotSlotTopK(so.topKCap()),
 		}
 		if recovered != nil {
@@ -315,15 +314,14 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 			}
 			src.slot.SeedEpoch(recovered[i].epoch - 1)
 		}
-		svc.shards[src.shard] = append(svc.shards[src.shard], src)
 		table[s] = src
-		all = append(all, src)
+		svc.srcs = append(svc.srcs, src)
 	}
 	// Bring every source to its first published snapshot in parallel: a cold
 	// source converges from scratch, a recovered one republishes its restored
 	// state as-is (it was converged when checkpointed) at its restored epoch.
-	fp.For(len(all), so.PoolWorkers, func(i int) {
-		src := all[i]
+	fp.For(len(svc.srcs), so.PoolWorkers, func(i int) {
+		src := svc.srcs[i]
 		if recovered == nil {
 			src.engine.Run(src.st, []graph.VertexID{src.source})
 		}
@@ -338,11 +336,6 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 		svc.od = newOnDemand(svc, so.OnDemand)
 	}
 
-	for i := range svc.shardCh {
-		svc.shardCh[i] = make(chan shardJob)
-		svc.workerWG.Add(1)
-		go svc.shardWorker(svc.shardCh[i])
-	}
 	go svc.pipeline()
 	return svc, nil
 }
@@ -352,23 +345,6 @@ func (s *Service) pipeline() {
 	defer close(s.done)
 	for fn := range s.work {
 		fn()
-	}
-	for _, ch := range s.shardCh {
-		close(ch)
-	}
-	s.workerWG.Wait()
-}
-
-// shardWorker pushes its shard's sources to convergence after each batch and
-// publishes their snapshots.
-func (s *Service) shardWorker(ch chan shardJob) {
-	defer s.workerWG.Done()
-	for job := range ch {
-		for _, src := range job.sources {
-			src.engine.Run(src.st, job.touched)
-			src.slot.Publish(src.st)
-		}
-		job.wg.Done()
 	}
 }
 
@@ -450,8 +426,8 @@ func (s *Service) submitRead(ctx context.Context, fn func()) error {
 	}
 }
 
-// Close shuts the service down: queued mutations finish, the pipeline and
-// shard workers exit, the write-ahead log (if any) is flushed and closed,
+// Close shuts the service down: queued mutations finish, the pipeline
+// exits, the write-ahead log (if any) is flushed and closed,
 // and every subsequent operation returns ErrServiceClosed. Reads racing
 // with Close may still succeed against the last published snapshots. Close
 // is idempotent.
@@ -482,7 +458,7 @@ func (s *Service) Close() error {
 }
 
 // ApplyBatch applies a batch of edge updates to the shared graph, restores
-// every tracked source, pushes each to convergence on the shard pool, and
+// every tracked source, pushes each to convergence on the push pool, and
 // publishes fresh snapshots — all before returning. Concurrent callers are
 // serialized by the pipeline; concurrent readers keep being served from the
 // previous snapshots until the new ones are published.
@@ -535,31 +511,25 @@ func (s *Service) doBatch(b Batch) BatchResult {
 	start := time.Now()
 	var before int64
 	states := s.statesBuf[:0]
-	for _, shard := range s.shards {
-		for _, src := range shard {
-			before += src.st.Counters.Snapshot().Pushes
-			states = append(states, src.st)
-		}
+	for _, src := range s.srcs {
+		before += src.st.Counters.Snapshot().Pushes
+		states = append(states, src.st)
 	}
 	s.statesBuf = states
 	applied, touched := applyBatchNotify(s.g, states, b, s.touchedBuf[:0])
 	s.touchedBuf = touched
 	if applied > 0 {
-		var wg sync.WaitGroup
-		for i, shard := range s.shards {
-			if len(shard) == 0 {
-				continue
-			}
-			wg.Add(1)
-			s.shardCh[i] <- shardJob{sources: shard, touched: touched, wg: &wg}
-		}
-		wg.Wait()
+		// Sources differ widely in push cost, so the pool claims them one
+		// at a time rather than in fixed chunks.
+		srcs := s.srcs
+		fp.ForDynamic(len(srcs), s.opts.PoolWorkers, 1, func(i int) {
+			srcs[i].engine.Run(srcs[i].st, touched)
+			srcs[i].slot.Publish(srcs[i].st)
+		})
 	}
 	var after int64
-	for _, shard := range s.shards {
-		for _, src := range shard {
-			after += src.st.Counters.Snapshot().Pushes
-		}
+	for _, src := range s.srcs {
+		after += src.st.Counters.Snapshot().Pushes
 	}
 	if applied > 0 {
 		s.graphGen.Add(1)
@@ -667,14 +637,6 @@ func (s *Service) CompactNow() error {
 	return nil
 }
 
-func (s *Service) allSources() []*serviceSource {
-	var out []*serviceSource
-	for _, shard := range s.shards {
-		out = append(out, shard...)
-	}
-	return out
-}
-
 // AddSource starts tracking a new source: its state is cold-started on the
 // current graph and its first snapshot published before the call returns.
 // Readers of existing sources are never blocked; the new source becomes
@@ -725,27 +687,14 @@ func (s *Service) validateAddSource(source VertexID) error {
 // doAddSource applies a validated addition (see validateAddSource).
 func (s *Service) doAddSource(source VertexID) error {
 	old := *s.table.Load()
-	engine, err := s.opts.Options.buildEngine()
+	st, err := push.NewState(s.g, source, s.opts.Options.config())
 	if err != nil {
 		return err
 	}
-	st, err := push.NewState(s.g, source, push.Config{
-		Alpha: s.opts.Options.Alpha, Epsilon: s.opts.Options.Epsilon,
-	})
-	if err != nil {
-		return err
-	}
-	// Pin the new source to the least loaded shard.
-	shard := 0
-	for i := 1; i < len(s.shards); i++ {
-		if len(s.shards[i]) < len(s.shards[shard]) {
-			shard = i
-		}
-	}
-	src := &serviceSource{source: source, shard: shard, st: st, engine: engine, slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
+	src := &serviceSource{source: source, st: st, engine: push.NewSequential(), slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
 	src.engine.Run(src.st, []graph.VertexID{source})
 	src.slot.Publish(src.st)
-	s.shards[shard] = append(s.shards[shard], src)
+	s.srcs = append(s.srcs, src)
 	next := make(sourceTable, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -806,13 +755,7 @@ func (s *Service) doRemoveSource(src *serviceSource) error {
 		}
 	}
 	s.table.Store(&next)
-	shard := s.shards[src.shard]
-	for i, candidate := range shard {
-		if candidate == src {
-			s.shards[src.shard] = append(shard[:i], shard[i+1:]...)
-			break
-		}
-	}
+	s.srcs = slices.DeleteFunc(s.srcs, func(c *serviceSource) bool { return c == src })
 	return nil
 }
 
@@ -979,8 +922,6 @@ func (s *Service) Closed() bool {
 type SourceStats struct {
 	// Source is the tracked source vertex.
 	Source VertexID
-	// Shard is the worker the source is pinned to.
-	Shard int
 	// Epoch is the source's current snapshot epoch.
 	Epoch uint64
 	// Pushes is the cumulative number of push operations performed for this
@@ -1048,9 +989,9 @@ type ServiceStats struct {
 	// Storage describes the LSM graph store's segments and compaction
 	// activity.
 	Storage StorageStats
-	// PoolWorkers is the shard pool size.
+	// PoolWorkers is the push pool size.
 	PoolWorkers int
-	// Engine names the push engine kind every source runs.
+	// Engine names the push engine every source runs; always "sequential".
 	Engine string
 	// Persistence reports the durability layer's state; nil for an
 	// in-memory service.
@@ -1124,7 +1065,7 @@ func (s *Service) Stats() ServiceStats {
 			CompactionInFlight: s.compacting.Load(),
 		},
 		PoolWorkers: s.opts.PoolWorkers,
-		Engine:      s.opts.Options.Engine.String(),
+		Engine:      EngineSequential.String(),
 		Persistence: s.persistenceStats(),
 	}
 	if s.od != nil {
@@ -1134,7 +1075,6 @@ func (s *Service) Stats() ServiceStats {
 		ps := src.slot.Stats()
 		ss := SourceStats{
 			Source:         src.source,
-			Shard:          src.shard,
 			Pushes:         src.st.Counters.Snapshot().Pushes,
 			FullPublishes:  ps.Full,
 			DeltaPublishes: ps.Delta,
